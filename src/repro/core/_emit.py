@@ -113,11 +113,9 @@ class Emitter:
             keys = keys + (frozenset(keep),)
         has_annot = node.has_annot
         if dedup and not node.has_annot and not self.cq.semiring.boolean:
-            # grouping virtual identity annotations: SUM over ⊗=mul turns
-            # the 1s into a count (materialise); every other combination
-            # aggregates identities to the identity (stay virtual).
-            sr = self.cq.semiring
-            has_annot = sr.plus == "sum" and sr.times == "mul"
+            # grouping virtual identity annotations: a count materialises
+            # __v; any other ⊕ of identities is the identity (stay virtual)
+            has_annot = self.cq.semiring.plus_counts_ones
         return Node(node.base, slot, frozenset(keep), keys, has_annot, node.complete)
 
     def join(self, left: Node, right: Node, *, base: str | None = None) -> Node:

@@ -24,10 +24,10 @@ class Relation:
     """One relation occurrence in a CQ (self-joins are separate occurrences).
 
     ``attrs[i]`` is the query variable bound to source column ``cols[i]``.
-    ``annot`` is a SQL expression over *source* columns (``None`` = semiring
-    identity 1). ``predicate`` is a SQL boolean over source columns, applied
-    at scan time. ``keys`` lists unique keys as sets of query variables —
-    fuel for the PK-FK rewrite rules (§5.1).
+    ``annot`` is a SQL expression over *source* columns (``None`` = the
+    ⊗-identity ``Semiring.one``). ``predicate`` is a SQL boolean over source
+    columns, applied at scan time. ``keys`` lists unique keys as sets of
+    query variables — fuel for the PK-FK rewrite rules (§5.1).
     """
 
     name: str
@@ -47,9 +47,6 @@ class Relation:
     @property
     def attr_set(self) -> frozenset[str]:
         return frozenset(self.attrs)
-
-    def col_of(self, attr: str) -> str:
-        return self.cols[self.attrs.index(attr)]
 
 
 def R(
@@ -185,7 +182,8 @@ class CQ:
 
     def agg_expr(self) -> str:
         """⊕(⊗-product of annotations) as SQL, e.g. ``sum(R1.__v * R3.__v)``;
-        degenerates to ``count(*)`` / ``min(1)`` when nothing is annotated."""
+        degenerates to ``count(*)`` / ``min(1)`` / ``max(0)`` when nothing is
+        annotated."""
         prod = self.product_expr()
         if prod is None:
             return self.semiring.times_identity_aggregate()
@@ -214,8 +212,7 @@ class CQ:
         if self.is_full:
             # full query: no ⊕ — each join row carries its ⊗-product
             prod = self.product_expr()
-            identity = "0" if self.semiring.times == "add" else "1"
-            sel_cols.append(f"({prod or identity}) AS {self.alias}")
+            sel_cols.append(f"({prod or self.semiring.one}) AS {self.alias}")
         else:
             sel_cols.append(f"{self.agg_expr()} AS {self.alias}")
         group = (

@@ -1,35 +1,31 @@
 """Lower operator plans to Spark DataFrame DAGs (Catalyst operators).
 
-Every IR step maps 1:1 to standard Catalyst logical operators — Filter,
-Project, Aggregate, Join(Inner/Cross), Join(LeftSemi) — mirroring the
-paper's claim that Yannakakis+ plans consist solely of standard relational
-operators executable by any SQL engine. The whole plan composes lazily, so
-Spark executes it as one job; Spark's join reordering (CBO) is off by
-default, so the emitted structure is what runs.
+This is the one lowering of the semiring semantics. Every IR step maps 1:1
+to standard Catalyst logical operators — Filter, Project, Aggregate,
+Join(Inner/Cross), Join(LeftSemi) — mirroring the paper's claim that
+Yannakakis+ plans consist solely of standard relational operators
+executable by any SQL engine. The classic Yannakakis and Yannakakis+ plans,
+the native baseline (:func:`native_plan`) and the GHD bag queries all run
+through :func:`execute`. The whole plan composes lazily, so Spark executes
+it as one job; Spark's join reordering (CBO) is off by default, so the
+emitted structure is what runs.
 
 Annotation protocol: a DataFrame may carry the annotation column ``__v``;
 absence means "all annotations are the ⊗-identity" (annotation pruning,
-§5.1). Joins ⊗-combine, aggregating projections ⊕-combine, and a SUM/×
-projection over an annotation-free input materialises ``count(*)``.
+§5.1). Joins ⊗-combine, aggregating projections ⊕-combine, and a projection
+whose ⊕ counts identities (``Semiring.plus_counts_ones``) over an
+annotation-free input materialises ``count(*)``.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .cq import CQ, Relation
-from .plan import Filter, Finalize, Join, Plan, Project, Scan, SemiJoin
+from .plan import Filter, Finalize, Join, Plan, Project, Scan, SemiJoin, Step
 from .semiring import Semiring
 
 ANNOT = "__v"
-
-
-def _plus(sr: Semiring, col):
-    return {"sum": F.sum, "max": F.max, "min": F.min}[sr.plus](col)
-
-
-def _times_identity(sr: Semiring) -> int:
-    return 0 if sr.times == "add" else 1
 
 
 def scan_df(
@@ -40,26 +36,13 @@ def scan_df(
     sr: Semiring | None = None,
 ) -> DataFrame:
     """Predicate pushdown + column→attribute rename (+ annotation; an
-    unannotated relation gets the semiring's ⊗-identity).
-
-    A fused dimension pair (optimizer.rules.FusedRelation) scans as the
-    Cartesian product of its members."""
-    identity = _times_identity(sr) if sr is not None else 1
-    members = getattr(rel, "members", None)
-    if members:
-        a, b = members
-        df = scan_df(tables, a, with_annot=False).crossJoin(
-            scan_df(tables, b, with_annot=False)
-        )
-        if with_annot:
-            df = df.withColumn(ANNOT, F.lit(identity))
-        return df
+    unannotated relation gets the semiring's ⊗-identity)."""
     df = tables[rel.source]
     if rel.predicate:
         df = df.filter(rel.predicate)
     cols = [F.col(c).alias(a) for a, c in zip(rel.attrs, rel.cols)]
     if with_annot:
-        annot = rel.annot if rel.annot is not None else str(identity)
+        annot = rel.annot if rel.annot is not None else str(sr.one if sr else 1)
         cols.append(F.expr(annot).alias(ANNOT))
     return df.select(*cols)
 
@@ -72,9 +55,9 @@ def _project(df: DataFrame, attrs: tuple[str, ...], dedup: bool, sr: Semiring) -
     if not dedup:
         return df.select(*attrs, *([ANNOT] if has_v else []))
     if has_v:
-        agg = _plus(sr, F.col(ANNOT)).alias(ANNOT)
-    elif sr.plus == "sum" and sr.times == "mul":
-        agg = F.count(F.lit(1)).alias(ANNOT)  # SUM of virtual 1s = count
+        agg = F.expr(f"{sr.plus_fn}({ANNOT})").alias(ANNOT)
+    elif sr.plus_counts_ones:
+        agg = F.count(F.lit(1)).alias(ANNOT)
     else:
         # ⊕ of ⊗-identities is the identity: stay annotation-free
         return df.select(*attrs).distinct()
@@ -87,8 +70,7 @@ def _join(left: DataFrame, right: DataFrame, on: tuple[str, ...], sr: Semiring) 
         right = right.withColumnRenamed(ANNOT, "__v_r")
     out = left.crossJoin(right) if not on else left.join(right, on=list(on), how="inner")
     if lv and rv:
-        op = {"mul": "*", "add": "+"}[sr.times]
-        out = out.withColumn(ANNOT, F.expr(f"{ANNOT} {op} __v_r")).drop("__v_r")
+        out = out.withColumn(ANNOT, F.expr(f"{ANNOT} {sr.times_op} __v_r")).drop("__v_r")
     return out
 
 
@@ -96,27 +78,23 @@ def _finalize(df: DataFrame, step: Finalize, sr: Semiring, count_like: bool) -> 
     has_v = ANNOT in df.columns
     if step.mode == "distinct":
         return df.select(*step.output).distinct()
-    if step.mode == "full":
-        if sr.boolean:
-            return df.select(*step.output)
-        val = F.col(ANNOT) if has_v else F.lit(_times_identity(sr))
-        return df.select(*step.output, val.alias(step.alias))
-    # mode == "agg"
-    if not step.dedup:
-        val = F.col(ANNOT) if has_v else F.lit(1)
+    if step.mode == "full" and sr.boolean:
+        return df.select(*step.output)
+    if step.mode == "full" or not step.dedup:
+        # no ⊕ (full query, or a key makes every group a singleton): each
+        # row keeps its ⊗-product
+        val = F.col(ANNOT) if has_v else F.lit(sr.one)
         return df.select(*step.output, val.alias(step.alias))
     if has_v:
-        agg = _plus(sr, F.col(ANNOT))
+        agg = F.expr(f"{sr.plus_fn}({ANNOT})")
         if count_like and not step.output:
             # a COUNT(*) query over an empty join is 0, not NULL — the __v
             # column here is a materialised count, so the global ⊕ must
             # degrade the same way count(*) does
             agg = F.coalesce(agg, F.lit(0))
-        agg = agg.alias(step.alias)
-    elif sr.plus == "sum" and sr.times == "mul":
-        agg = F.count(F.lit(1)).alias(step.alias)
     else:
-        agg = _plus(sr, F.lit(_times_identity(sr))).alias(step.alias)
+        agg = F.expr(sr.times_identity_aggregate())
+    agg = agg.alias(step.alias)
     return df.groupBy(*step.output).agg(agg) if step.output else df.agg(agg)
 
 
@@ -143,49 +121,39 @@ def execute(plan: Plan, tables: dict[str, DataFrame]) -> DataFrame:
     return env[plan.result]
 
 
-def native_df(cq: CQ, tables: dict[str, DataFrame]) -> DataFrame:
-    """The "native" baseline: one big join in query order followed by the
-    final aggregation — exactly the single SQL statement `cq.to_sql()`
-    denotes, planned by Spark itself."""
+def native_plan(cq: CQ) -> Plan:
+    """The "native" baseline as a plan: one big join in query order, then
+    the cycle equalities and the final ⊕-aggregation — exactly the single
+    SQL statement `cq.to_sql()` denotes, with no semi-join or early
+    aggregation, so Spark plans the join itself."""
     sr = cq.semiring
-    annotated: list[str] = []
-    acc: DataFrame | None = None
-    acc_attrs: set[str] = set()
+    steps: list[Step] = []
+
+    def slot(base: str) -> str:
+        return f"{base}@{len(steps)}"
+
+    acc: str | None = None
+    acc_attrs: frozenset[str] = frozenset()
     remaining = list(cq.relations)
     while remaining:
         # next relation sharing attrs with what we have (avoid cross joins)
-        idx = next(
-            (k for k, r in enumerate(remaining) if acc is None or (set(r.attrs) & acc_attrs)),
-            0,
-        )
+        idx = next((k for k, r in enumerate(remaining) if r.attr_set & acc_attrs), 0)
         r = remaining.pop(idx)
-        keep_annot = r.annot is not None and not sr.boolean
-        df = scan_df(tables, r, with_annot=keep_annot, sr=sr)
-        if keep_annot:
-            vcol = f"__v_{r.name}"
-            df = df.withColumnRenamed(ANNOT, vcol)
-            annotated.append(vcol)
-        if acc is None:
-            acc, acc_attrs = df, set(r.attrs)
-        else:
-            on = sorted(acc_attrs & set(r.attrs))
-            acc = acc.crossJoin(df) if not on else acc.join(df, on=on, how="inner")
-            acc_attrs |= set(r.attrs)
+        steps.append(Scan(slot(r.name), r, r.annot is not None and not sr.boolean))
+        if acc is not None:
+            on = tuple(sorted(acc_attrs & r.attr_set))
+            steps.append(Join(slot("join"), acc, steps[-1].out, on))
+        acc = steps[-1].out
+        acc_attrs |= r.attr_set
     assert acc is not None
     for a, b in cq.eq_filters:
-        acc = acc.filter(f"{a} = {b}")
-    if sr.boolean:
-        out = acc.select(*cq.output)
-        return out if cq.is_full else out.distinct()
-    op = {"mul": "*", "add": "+"}[sr.times]
-    prod = F.expr(f" {op} ".join(annotated)) if annotated else None
-    if cq.is_full:
-        val = prod if prod is not None else F.lit(_times_identity(sr))
-        return acc.select(*cq.output, val.alias(cq.alias))
-    if prod is not None:
-        agg = _plus(sr, prod).alias(cq.alias)
-    elif sr.plus == "sum" and sr.times == "mul":
-        agg = F.count(F.lit(1)).alias(cq.alias)
-    else:
-        agg = _plus(sr, F.lit(_times_identity(sr))).alias(cq.alias)
-    return acc.groupBy(*cq.output).agg(agg) if cq.output else acc.agg(agg)
+        steps.append(Filter(slot("sigma"), acc, f"{a} = {b}"))
+        acc = steps[-1].out
+    mode = "full" if cq.is_full else "distinct" if sr.boolean else "agg"
+    steps.append(Finalize(slot("result"), acc, cq.output, mode, cq.alias))
+    return Plan(cq, steps, steps[-1].out, meta={"algorithm": "native"})
+
+
+def native_df(cq: CQ, tables: dict[str, DataFrame]) -> DataFrame:
+    """Run the native baseline plan (:func:`native_plan`)."""
+    return execute(native_plan(cq), tables)

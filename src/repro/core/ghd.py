@@ -26,25 +26,25 @@ from .semiring import BOOL
 BagDefs = dict[str, CQ]  # bag source name -> the bag's full query
 
 
-def _bag_relation(cq: CQ, members: list[Relation], idx: int) -> tuple[Relation, CQ]:
+def _bag_relation(cq: CQ, bag_rels: list[Relation], idx: int) -> tuple[Relation, CQ]:
     attrs: list[str] = []
-    for r in members:
+    for r in bag_rels:
         for a in r.attrs:
             if a not in attrs:
                 attrs.append(a)
-    annotated = any(r.annot is not None for r in members)
+    annotated = any(r.annot is not None for r in bag_rels)
     source = f"__bag{idx}"
     if annotated and not cq.semiring.boolean:
         bag_cq = CQ(
-            tuple(members), tuple(attrs), cq.semiring, alias="__v",
+            tuple(bag_rels), tuple(attrs), cq.semiring, alias="__v",
             name=f"{cq.name}:bag{idx}",
         )
         annot = "__v"
     else:
-        # unannotated members: a bag-semantics full enumeration keeps the
+        # unannotated relations: a bag-semantics full enumeration keeps the
         # multiplicities, so no annotation column is needed
         bag_cq = CQ(
-            tuple(members), tuple(attrs), BOOL, name=f"{cq.name}:bag{idx}"
+            tuple(bag_rels), tuple(attrs), BOOL, name=f"{cq.name}:bag{idx}"
         )
         annot = None
     rel = Relation(
@@ -65,8 +65,8 @@ def decompose(cq: CQ, bags: list[list[str]] | None = None) -> tuple[CQ, BagDefs]
 
     def merge(group: list[str]) -> None:
         nonlocal current, idx
-        members = [current.rel(n) for n in group]
-        rel, bag_cq = _bag_relation(cq, members, idx)
+        bag_rels = [current.rel(n) for n in group]
+        rel, bag_cq = _bag_relation(cq, bag_rels, idx)
         defs[rel.source] = bag_cq
         rest = tuple(r for r in current.relations if r.name not in group)
         current = replace(
@@ -110,16 +110,11 @@ def decompose(cq: CQ, bags: list[list[str]] | None = None) -> tuple[CQ, BagDefs]
     return current, defs
 
 
-def materialize_bags(
-    defs: BagDefs, tables: dict[str, DataFrame], *, cache: bool = True
-) -> dict[str, DataFrame]:
-    """Evaluate each bag query natively and register it as a table; returns
-    an extended table dict. Bags are cached (they are scanned repeatedly by
-    the outer plan)."""
+def materialize_bags(defs: BagDefs, tables: dict[str, DataFrame]) -> dict[str, DataFrame]:
+    """Evaluate each bag query with the native plan (`executor.native_plan`)
+    and register it as a table; returns an extended table dict. Bags are
+    cached (they are scanned repeatedly by the outer plan)."""
     out = dict(tables)
     for source, bag_cq in defs.items():
-        df = native_df(bag_cq, out)
-        if cache:
-            df = df.cache()
-        out[source] = df
+        out[source] = native_df(bag_cq, out).cache()
     return out

@@ -132,7 +132,7 @@ def enumerate_tree_edges(cq: CQ, cap: int = 64) -> list[frozenset[Edge]]:
     ]
     cand.sort(key=lambda t: (-t[0], t[1]))
     edges = [e for _, e in cand]
-    # bridge disconnected components through their first members
+    # bridge disconnected components through their smallest relation names
     from .cq import components
 
     comps = components(cq)

@@ -13,7 +13,6 @@ lowers to a plain column select.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .cq import CQ, Relation
 
@@ -125,6 +124,3 @@ class Plan:
                     f"{s.out} <- finalize[{s.mode}:{','.join(s.output)}] {s.src}"
                 )
         return "\n".join(lines)
-
-    def __iter__(self) -> Iterator[Step]:
-        return iter(self.steps)

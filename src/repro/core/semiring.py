@@ -8,8 +8,12 @@ aggregates (e.g. TPC-H Q9's ``SUM(ps_supplycost * l_quantity)``); choosing
 ``(R, max, +)`` yields MAX-of-sums; the boolean semiring yields DISTINCT
 projection.
 
-The boolean semiring is special-cased throughout the executor: it needs no
-annotation column at all — ``⊕`` is DISTINCT and ``⊗`` is the plain join.
+This class is the one place the semiring semantics are defined: the planner
+(`core._emit`), the Spark lowering (`core.executor`) and the canonical SQL
+(`core.cq.to_sql`) all read ⊕, ⊗, the ⊗-identity :attr:`Semiring.one` and
+whether ⊕ over identities is a count (:attr:`Semiring.plus_counts_ones`) from
+here. The boolean semiring needs no annotation column at all — ``⊕`` is
+DISTINCT and ``⊗`` is the plain join.
 """
 from __future__ import annotations
 
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 
 #: ⊕ aggregate name -> (Spark/DuckDB SQL aggregate function)
 _PLUS_FUNCS = {"sum": "sum", "max": "max", "min": "min"}
-#: ⊗ combiner name -> infix SQL operator
-_TIMES_OPS = {"mul": "*", "add": "+"}
+#: ⊗ combiner name -> (infix SQL operator, ⊗-identity)
+_TIMES_OPS = {"mul": ("*", 1), "add": ("+", 0)}
 
 
 @dataclass(frozen=True)
@@ -43,16 +47,27 @@ class Semiring:
     @property
     def times_op(self) -> str:
         """SQL infix operator implementing ⊗."""
-        return _TIMES_OPS[self.times]
+        return _TIMES_OPS[self.times][0]
+
+    @property
+    def one(self) -> int:
+        """The ⊗-identity: the annotation of a tuple that carries none."""
+        return _TIMES_OPS[self.times][1]
+
+    @property
+    def plus_counts_ones(self) -> bool:
+        """Whether ⊕ over a group of ⊗-identities is the group's row count
+        (``SUM`` of 1s). Otherwise it is the identity itself (``MAX(0)``,
+        ``MIN(1)``, …), so an unannotated input can stay annotation-free."""
+        return self.plus == "sum" and self.times == "mul"
 
     def times_identity_aggregate(self) -> str:
-        """⊕-aggregate of all-identity annotations, as SQL over a group.
-
-        With ⊗=mul every missing annotation is 1, so ``SUM(1) == COUNT(*)``
-        and ``MAX/MIN(1) == 1``. Used by annotation pruning (§5.1) when no
-        relation in scope carries a real annotation.
+        """⊕-aggregate of all-identity annotations, as SQL over a group:
+        ``count(*)`` when :attr:`plus_counts_ones`, else ``⊕(one)``. Used by
+        annotation pruning (§5.1) when no relation in scope carries a real
+        annotation.
         """
-        return "count(*)" if self.plus == "sum" else f"{self.plus_fn}(1)"
+        return "count(*)" if self.plus_counts_ones else f"{self.plus_fn}({self.one})"
 
 
 #: SUM of products — e.g. SUM(a*b), COUNT(*) when no annotations.

@@ -5,30 +5,21 @@ reduction driven by dangling-free relations and their reducible neighbours
 
 The planner is pure Python: it consumes a CQ plus a rooted join tree and
 emits a straight-line plan of standard relational operators (`core.plan`),
-never touching Spark. Cost-guided choices (second-round merge order) accept
-an optional cardinality estimator.
+never touching Spark.
 """
 from __future__ import annotations
 
-from typing import Callable
-
-from ._emit import Emitter, Node, Rules
+from ._emit import Emitter, Rules
 from .cq import CQ
 from .join_tree import JoinTree
 from .plan import Plan
 
 
-def plan_yannakakis_plus(
-    cq: CQ,
-    tree: JoinTree,
-    rules: Rules = Rules(),
-    est_join: Callable[[Node, Node], float] | None = None,
-) -> Plan:
+def plan_yannakakis_plus(cq: CQ, tree: JoinTree, rules: Rules = Rules()) -> Plan:
     """Generate the Yannakakis+ plan for ``cq`` on ``tree``.
 
-    ``est_join(a, b)`` optionally estimates |a ⋈ b| to order second-round
-    merges; without it a deterministic heuristic (leaf-first, fewest
-    attributes) is used.
+    Second-round merges follow a deterministic heuristic: leaf neighbour
+    first, then fewest attributes.
     """
     em = Emitter(cq, rules)
     out_eff = cq.plan_output
@@ -127,14 +118,11 @@ def plan_yannakakis_plus(
             if reducible(i, j)
         ]
         if pairs:
-            if est_join is not None:
-                i, j = min(pairs, key=lambda p: est_join(em.nodes[p[0]], em.nodes[p[1]]))
-            else:
-                # heuristic: merge with a leaf neighbour, fewest attrs first
-                i, j = min(
-                    pairs,
-                    key=lambda p: (len(adj[p[1]]) > 1, len(attrs_of(p[1])), semi_order[p[1]]),
-                )
+            # heuristic: merge with a leaf neighbour, fewest attrs first
+            i, j = min(
+                pairs,
+                key=lambda p: (len(adj[p[1]]) > 1, len(attrs_of(p[1])), semi_order[p[1]]),
+            )
             merge(i, j)
         else:
             # Lemma 3.14: push dangling-freeness down to a child

@@ -50,13 +50,6 @@ def tables_for(spark: SparkSession, benchmark: str, **params) -> dict[str, DataF
     return _TABLES[key]
 
 
-def clear_table_cache() -> None:
-    for t in _TABLES.values():
-        for df in t.values():
-            df.unpersist()
-    _TABLES.clear()
-
-
 @dataclass
 class Prepared:
     """A workload made acyclic: the CQ the Yannakakis planners run on, the
@@ -68,7 +61,7 @@ class Prepared:
     via: str
 
 
-def prepare(wl: Workload, tables: dict[str, DataFrame], *, cache_bags: bool = True) -> Prepared:
+def prepare(wl: Workload, tables: dict[str, DataFrame]) -> Prepared:
     cq = wl.cq
     if is_acyclic(cq):
         return Prepared(cq, tables, "none")
@@ -77,10 +70,9 @@ def prepare(wl: Workload, tables: dict[str, DataFrame], *, cache_bags: bool = Tr
         return Prepared(rewritten, tables, "cycle-elim")
     bags = [list(b) for b in wl.bags] if wl.bags else None
     acyclic_cq, bag_defs = decompose(cq, bags=bags)
-    t2 = materialize_bags(bag_defs, tables, cache=cache_bags)
-    if cache_bags:
-        for src in bag_defs:
-            t2[src].count()
+    t2 = materialize_bags(bag_defs, tables)
+    for src in bag_defs:
+        t2[src].count()
     return Prepared(acyclic_cq, t2, "ghd")
 
 

@@ -1,6 +1,6 @@
 """Base-table statistics for the cost-based optimizer (§5.2).
 
-``collect_stats`` gathers, per relation occurrence (post-predicate): the row
+``rel_stats`` gathers, for one relation occurrence (post-predicate): the row
 count and per-attribute number of distinct values. The ``accurate`` scenario
 uses exact distinct counts; ``estimated`` uses Spark's HyperLogLog
 ``approx_count_distinct`` — mirroring the paper's "exact sizes" vs
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.cq import CQ, Relation
+from ..core.cq import Relation
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,6 @@ _CACHE: dict[tuple, RelStats] = {}
 
 
 def rel_stats(tables: dict[str, DataFrame], rel: Relation, *, exact: bool) -> RelStats:
-    members = getattr(rel, "members", None)
-    if members:  # fused dimension pair: Cartesian product of member stats
-        a = rel_stats(tables, members[0], exact=exact)
-        b = rel_stats(tables, members[1], exact=exact)
-        return RelStats(a.rows * b.rows, {**a.ndv, **b.ndv})
     key = (rel.source, rel.predicate, tuple(rel.cols), exact)
     if key in _CACHE:
         st = _CACHE[key]
@@ -58,13 +53,6 @@ def rel_stats(tables: dict[str, DataFrame], rel: Relation, *, exact: bool) -> Re
     by_col = {c: int(row[f"__d_{i}"]) for i, c in enumerate(rel.cols)}
     _CACHE[key] = RelStats(int(row["__n"]), dict(by_col))
     return RelStats(int(row["__n"]), {a: by_col[c] for a, c in zip(rel.attrs, rel.cols)})
-
-
-def collect_stats(
-    tables: dict[str, DataFrame], cq: CQ, *, exact: bool = False
-) -> dict[str, RelStats]:
-    """Per-relation-occurrence statistics for one query."""
-    return {r.name: rel_stats(tables, r, exact=exact) for r in cq.relations}
 
 
 def clear_cache() -> None:

@@ -6,10 +6,11 @@ import pytest
 
 from repro.core._emit import Rules
 from repro.core.cq import CQ, R
-from repro.core.executor import execute, native_df, scan_df
+from repro.core.executor import execute, native_df, native_plan, scan_df
 from repro.core.join_tree import root_tree
 from repro.core.semiring import BOOL, MAX_PLUS, MAX_PROD, MIN_PROD, SUM_PROD
 from repro.core.yannakakis_plus import plan_yannakakis_plus
+from repro.optimizer.rules import eliminate_cycles
 from repro.oracle import assert_equivalent
 
 EDGES = pd.DataFrame(
@@ -52,6 +53,7 @@ def run_plus(cq, tables, rules=Rules()):
         (MAX_PROD, ("w", "w")),         # MAX(w1*w2)
         (MAX_PLUS, ("w", "w")),         # MAX(w1+w2)
         (MAX_PLUS, ("w", None)),        # MAX(w1+0)
+        (MAX_PLUS, (None, None)),       # MAX(0+0)
     ],
 )
 @pytest.mark.parametrize("rules", [Rules(True, True), Rules(False, False)])
@@ -84,6 +86,15 @@ def test_boolean_full_enumeration_keeps_duplicates(tables):
 def test_full_query_with_annotation_product(tables):
     cq = two_hop(SUM_PROD, ("a", "b", "c"), ("w", "w"))
     assert_equivalent(run_plus(cq, tables), cq.to_sql(), e=EDGES)
+
+
+def test_key_covered_output_keeps_times_identity(tables):
+    # the key w makes every output group a singleton, so Finalize skips the
+    # group-by; the unannotated MAX_PLUS value is still the ⊗-identity 0
+    cq = CQ((R("E", "e", {"w": "w", "a": "src"}, keys=[("w",)]),), ("w",), MAX_PLUS)
+    plan = plan_yannakakis_plus(cq, root_tree(cq, [], "E"))
+    assert not plan.steps[-1].dedup
+    assert_equivalent(execute(plan, tables), cq.to_sql(), e=EDGES)
 
 
 # ----------------------------------------------------------------- scans
@@ -124,6 +135,47 @@ def test_native_eq_filters(tables):
     # E1 × E2 filtered by b = b2 ≡ the 2-hop count
     ref = two_hop(SUM_PROD, ("a",))
     assert_equivalent(native_df(cq, tables), ref.to_sql(), e=EDGES)
+
+
+def test_native_plan_joins_in_query_order():
+    # relations listed so that query order would cross-join E3 with E1
+    cq = CQ(
+        (R("E1", "e", {"a": "src", "b": "dst"}),
+         R("E3", "e", {"c": "src", "d": "dst"}, annot="w"),
+         R("E2", "e", {"b": "src", "c": "dst"})),
+        ("a",), SUM_PROD, name="path3",
+    )
+    lines = native_plan(cq).describe().splitlines()
+    assert [ln.split(" <- ")[1] for ln in lines] == [
+        "scan e",
+        "scan e",
+        "join[b] E1@0 E2@1",
+        "scan e+v",
+        "join[c] join@2 E3@3",
+        "finalize[agg:a] join@4",
+    ]
+
+
+def test_native_plan_boolean_distinct():
+    lines = native_plan(two_hop(BOOL, ("a", "c"))).describe().splitlines()
+    assert "+v" not in "\n".join(lines)
+    assert lines[-1].split(" <- ")[1].startswith("finalize[distinct:a,c] ")
+
+
+def test_native_plan_filters_cycle_equalities_before_finalize():
+    square = CQ(
+        (R("C", "c", ["ck", "nk"], keys=[("ck",)]),
+         R("O", "o", ["ok", "ck"], keys=[("ok",)]),
+         R("L", "l", ["ok", "sk"]),
+         R("S", "s", ["sk", "nk"], keys=[("sk",)]),
+         R("N", "n", ["nk", "nname"], keys=[("nk",)])),
+        ("nname",), name="sq",
+    )
+    cq = eliminate_cycles(square)
+    (a, b), = cq.eq_filters
+    lines = native_plan(cq).describe().splitlines()
+    assert lines[-2].split(" <- ")[1].startswith(f"filter[{a} = {b}] ")
+    assert lines[-1].split(" <- ")[1].startswith("finalize[agg:nname] ")
 
 
 def test_self_join_same_source_independent_scans(tables):

@@ -32,7 +32,15 @@ def test_identity_aggregate_sum_prod_is_count():
 
 @pytest.mark.parametrize("sr", [MIN_PROD, MAX_PROD, MAX_PLUS])
 def test_identity_aggregate_minmax_is_constant(sr):
-    assert sr.times_identity_aggregate() == f"{sr.plus_fn}(1)"
+    # ⊕ over ⊗-identities is the identity: 1 for ⊗=mul, 0 for ⊗=add
+    expected = {MIN_PROD: "min(1)", MAX_PROD: "max(1)", MAX_PLUS: "max(0)"}[sr]
+    assert sr.times_identity_aggregate() == expected
+
+
+def test_times_identity_and_count_predicate():
+    assert (SUM_PROD.one, MIN_PROD.one, MAX_PROD.one, MAX_PLUS.one) == (1, 1, 1, 0)
+    assert SUM_PROD.plus_counts_ones
+    assert not any(sr.plus_counts_ones for sr in (MIN_PROD, MAX_PROD, MAX_PLUS))
 
 
 def test_unknown_plus_rejected():
