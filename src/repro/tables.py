@@ -1,5 +1,6 @@
 """Builders for the paper's evaluation tables (§7). Each function returns
-plain row dicts; ``jobs/*.py`` and ``benchmarks/*`` render them. The
+plain row dicts; ``jobs/*.py`` render them. Every runtime comes from
+``harness.time_mode``, end to end from CQ to result. The
 ``PAPER_*`` constants hold the published numbers (SparkSQL rows where the
 table is per-engine) so EXPERIMENTS.md can show paper-vs-measured side by
 side."""
@@ -14,7 +15,6 @@ from . import harness
 from .core._emit import Rules
 from .core.join_tree import classify
 from .optimizer.cardinality import ACCURATE, ESTIMATED, WORST_CASE
-from .optimizer.enumerate import choose_plan
 from .workloads import all_queries
 
 #: benchmark → loader params at benchmark scale (≈100 MB total; tests use
@@ -91,26 +91,24 @@ TABLE5_QUERIES = (
 )
 
 
-def _run_query_modes(spark, name, modes=harness.MODES, repeats=1, rules=Rules()):
+def _run_query_modes(spark, name):
     wl = all_queries()[name]
     tables = harness.tables_for(spark, wl.benchmark, **BENCH_SCALE[wl.benchmark])
-    prep = harness.prepare(wl, tables)
     out = {}
-    for mode in modes:
-        r = harness.time_mode(wl, tables, mode, rules=rules, prepared=prep,
-                              repeats=repeats)
+    for mode in harness.MODES:
+        r = harness.time_mode(wl, tables, mode)
         out[mode] = r["seconds"]
         out.setdefault("opt_time", {})[mode] = r["opt_time"]
     return out
 
 
 # ---------------------------------------------------------------- Table 2
-def table2(spark: SparkSession, queries=None, repeats: int = 1) -> dict:
+def table2(spark: SparkSession, queries=None) -> dict:
     """JOB running-time statistics per mode (paper Table 2)."""
     queries = list(queries or _JOB_POOL)
     per_query = {}
     for name in queries:
-        per_query[name] = _run_query_modes(spark, name, repeats=repeats)
+        per_query[name] = _run_query_modes(spark, name)
     rows = []
     for mode in harness.MODES:
         xs = [per_query[q][mode] for q in queries]
@@ -136,45 +134,37 @@ TABLE3_VARIANTS = {
 }
 
 
-def table3(spark: SparkSession, queries=("job-1a", "job-4a"), repeats: int = 1):
+def table3(spark: SparkSession, queries=("job-1a", "job-4a")):
     """Rule-based optimization ablation (paper Table 3)."""
     rows = []
     for name in queries:
         wl = all_queries()[name]
         tables = harness.tables_for(spark, wl.benchmark, **BENCH_SCALE[wl.benchmark])
-        prep = harness.prepare(wl, tables)
         row = {"query": name}
         for variant, rules in TABLE3_VARIANTS.items():
             if rules is None:
-                row[variant] = harness.time_mode(
-                    wl, tables, "native", prepared=prep, repeats=repeats
-                )["seconds"]
+                row[variant] = harness.time_mode(wl, tables, "native")["seconds"]
             else:
                 row[variant] = harness.time_mode(
-                    wl, tables, "yannakakis+", rules=rules, prepared=prep,
-                    repeats=repeats,
+                    wl, tables, "yannakakis+", rules=rules
                 )["seconds"]
         rows.append(row)
     return rows
 
 
 # ---------------------------------------------------------------- Table 4
-def table4(spark: SparkSession, queries=TABLE4_QUERIES, repeats: int = 1):
+def table4(spark: SparkSession, queries=TABLE4_QUERIES):
     """Runtime under the three cardinality-estimation scenarios (Table 4)."""
     rows = []
     for name in queries:
         wl = all_queries()[name]
         tables = harness.tables_for(spark, wl.benchmark, **BENCH_SCALE[wl.benchmark])
-        prep = harness.prepare(wl, tables)
         row = {"query": name}
-        row["native"] = harness.time_mode(
-            wl, tables, "native", prepared=prep, repeats=repeats
-        )["seconds"]
+        row["native"] = harness.time_mode(wl, tables, "native")["seconds"]
         for label, mode in (("accurate", ACCURATE), ("estimated", ESTIMATED),
                             ("worst", WORST_CASE)):
             row[label] = harness.time_mode(
-                wl, tables, "yannakakis+", ce_mode=mode, prepared=prep,
-                repeats=repeats,
+                wl, tables, "yannakakis+", ce_mode=mode
             )["seconds"]
         rows.append(row)
     return rows
@@ -189,23 +179,16 @@ def spark_plan_time(df) -> float:
     return time.perf_counter() - t0
 
 
-def table5(spark: SparkSession, queries=TABLE5_QUERIES, repeats: int = 1):
-    """Optimization time vs query size (paper Table 5)."""
+def table5(spark: SparkSession, queries=TABLE5_QUERIES):
+    """Optimization time vs query size (paper Table 5). ``opt_time`` is the
+    timed run's planner time; ``time_mode``'s warm-up has filled the
+    statistics, as the paper's system reads them from the DBMS catalog."""
     rows = []
     for name in queries:
         wl = all_queries()[name]
         tables = harness.tables_for(spark, wl.benchmark, **BENCH_SCALE[wl.benchmark])
-        prep = harness.prepare(wl, tables)
-        # warm the stats cache (the paper's system reads stats from the DBMS
-        # catalog, so stat collection is not optimization time)
-        choose_plan(prep.cq, prep.tables)
-        choice = choose_plan(prep.cq, prep.tables)
-        native = harness.time_mode(wl, tables, "native", prepared=prep,
-                                   repeats=repeats)
-        yplus = harness.time_mode(wl, tables, "yannakakis+", prepared=prep,
-                                  repeats=repeats)
-        from repro.core.executor import native_df
-
+        native = harness.time_mode(wl, tables, "native")
+        yplus = harness.time_mode(wl, tables, "yannakakis+")
         rows.append(
             {
                 "query": name,
@@ -213,8 +196,8 @@ def table5(spark: SparkSession, queries=TABLE5_QUERIES, repeats: int = 1):
                 "yplus_s": yplus["seconds"],
                 "n_tables": len(wl.cq.relations),
                 "n_attrs": len(wl.cq.attrs),
-                "opt_time": choice.opt_time,
-                "spark_plan_time": spark_plan_time(native_df(wl.cq, tables)),
+                "opt_time": yplus["opt_time"],
+                "spark_plan_time": spark_plan_time(harness.native_df(wl.cq, tables)),
             }
         )
     return rows
@@ -252,14 +235,14 @@ def table6():
 
 
 # ----------------------------------------------------- speedup summary
-def speedup_summary(spark: SparkSession, queries=None, repeats: int = 1):
+def speedup_summary(spark: SparkSession, queries=None):
     """§7.2.1 headline: per-query native/Yannakakis/Yannakakis+ runtimes and
     speedups, plus per-benchmark aggregates."""
     qs = all_queries()
     queries = list(queries or sorted(qs))
     rows = []
     for name in queries:
-        res = _run_query_modes(spark, name, repeats=repeats)
+        res = _run_query_modes(spark, name)
         rows.append(
             {
                 "query": name,

@@ -1,8 +1,8 @@
 """Shared Spark fixtures for the test suite.
 
-Scales are tiny (SF≈0.01): correctness is what's under test here; the
-benchmarks/ tree measures performance at SF≈0.1. Tables and their pandas
-copies (for the DuckDB oracle) are cached per session.
+Scales are tiny (SF≈0.01): correctness is what's under test here;
+``perfbench/`` and ``jobs/`` measure performance at larger scales. Tables and
+their pandas copies (for the DuckDB oracle) are cached per session.
 """
 import os
 

@@ -1,9 +1,11 @@
 """Harness plumbing and table builders (small-scale smoke versions of the
 jobs/ entrypoints — the real numbers come from benchmark scale)."""
-import pytest
+import time
 
 from repro import harness, tables
 from repro.workloads import all_queries
+
+from .conftest import SCALES
 
 QUERIES = all_queries()
 
@@ -38,6 +40,34 @@ def test_time_mode_reports_fields(quiet_spark, bench_tables):
     assert r["seconds"] > 0 and r["opt_time"] >= 0 and r["tree_root"]
 
 
+def test_time_mode_times_prepare(bench_tables, monkeypatch):
+    """The timed run starts at the CQ: ``prepare`` is inside it."""
+    prepare = harness.prepare
+
+    def slow_prepare(wl, tables):
+        time.sleep(1.0)
+        return prepare(wl, tables)
+
+    monkeypatch.setattr(harness, "prepare", slow_prepare)
+    r = harness.time_mode(QUERIES["tpch-q19"], bench_tables("tpch"), "yannakakis+")
+    assert r["seconds"] >= 1.0
+
+
+def test_time_mode_releases_ghd_bags(quiet_spark):
+    """time_mode unpersists the GHD bags it caches: Spark's storage is left
+    as it was found (tables at a scale no other test uses, so no bag of
+    theirs is cached already)."""
+    tables_ = harness.tables_for(quiet_spark, "sgpb", scale=0.02)
+    jsc = quiet_spark.sparkContext._jsc.sc()
+
+    def cached_rdds():
+        return sorted(i.id() for i in jsc.getRDDStorageInfo())
+
+    before = cached_rdds()
+    harness.time_mode(QUERIES["sgpb-q2b"], tables_, "yannakakis+")
+    assert cached_rdds() == before
+
+
 def test_native_mode_has_no_choice(quiet_spark, bench_tables):
     wl = QUERIES["tpch-q19"]
     df, choice = harness.build(wl, bench_tables("tpch"), "native")
@@ -66,7 +96,7 @@ def test_table6_dumbbell_classified_after_ghd():
 
 # ------------------------------------------------- table builders (smoke)
 def test_table3_variants_complete(quiet_spark, monkeypatch):
-    monkeypatch.setattr(tables, "BENCH_SCALE", _tiny())
+    monkeypatch.setattr(tables, "BENCH_SCALE", SCALES)
     rows = tables.table3(quiet_spark, queries=("job-1a",))
     (row,) = rows
     assert set(row) == {"query", "base", "primitive", "pkfk", "annot", "both"}
@@ -74,14 +104,14 @@ def test_table3_variants_complete(quiet_spark, monkeypatch):
 
 
 def test_table4_scenarios_complete(quiet_spark, monkeypatch):
-    monkeypatch.setattr(tables, "BENCH_SCALE", _tiny())
+    monkeypatch.setattr(tables, "BENCH_SCALE", SCALES)
     rows = tables.table4(quiet_spark, queries=("job-2b",))
     (row,) = rows
     assert set(row) == {"query", "native", "accurate", "estimated", "worst"}
 
 
 def test_table5_fields(quiet_spark, monkeypatch):
-    monkeypatch.setattr(tables, "BENCH_SCALE", _tiny())
+    monkeypatch.setattr(tables, "BENCH_SCALE", SCALES)
     rows = tables.table5(quiet_spark, queries=("tpch-q19",))
     (row,) = rows
     assert row["n_tables"] == 2 and row["n_attrs"] == 1
@@ -91,13 +121,3 @@ def test_table5_fields(quiet_spark, monkeypatch):
 def test_render_formats():
     out = tables.render([{"a": 1.23456, "b": "x"}])
     assert "1.235" in out and "b" in out
-
-
-def _tiny():
-    # mirror tests/conftest.SCALES so the session-cached tables are reused
-    return {
-        "sgpb": dict(scale=0.01),
-        "tpch": dict(sf=0.002),
-        "job": dict(sf=0.02, dup=2),
-        "lsqb": dict(sf=0.01),
-    }

@@ -8,7 +8,6 @@ from repro.core.executor import execute, native_df
 from repro.core.semiring import SUM_PROD
 from repro.oracle import assert_equivalent
 from repro.optimizer.enumerate import choose_plan
-from repro.optimizer.stats import clear_cache
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +44,6 @@ def test_scale_sweep(quiet_spark, n_edges):
     """Figure 11(b): runtime scale sweep — correctness at several scales."""
     from repro.datagen import graph as g
 
-    clear_cache()
     df = g.edges(quiet_spark, n_nodes=200, n_edges=n_edges, alpha=0.7, seed=5)
     cq = CQ(
         (R("E1", "e", {"a": "src", "b": "dst"}),
